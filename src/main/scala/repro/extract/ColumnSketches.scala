@@ -1,6 +1,6 @@
 package repro.extract
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 /** A k-minwise hash signature of one column, plus its profile.
@@ -39,42 +39,47 @@ final case class ColumnSketch(table: String, column: String, distinct: Long, sig
 
 /** MinHash sketch construction via DataFrame scans.
   *
-  * One aggregation pass per column computes all k slots: slot i is
-  * `min(hash(i, value))` over distinct non-null values. Deterministic —
-  * Spark's `hash` is Murmur3 with the slot index as a leading mixing term.
+  * Every column of every table is sketched by one `groupBy(table, column)`
+  * aggregation over the lake's melted values ([[melt]]), so the number of
+  * Spark jobs does not grow with the number of columns. Slot i of a column
+  * is `min(hash(i, value))` over its distinct non-null values, cast to
+  * string. Deterministic — Spark's `hash` is Murmur3 with the slot index as
+  * a leading mixing term.
   */
 object ColumnSketches {
   val DefaultK = 64
 
-  private def slot(i: Int, c: Column): Column = min(hash(lit(i), c)).as(s"h$i")
+  /** Distinct non-null `(t, c, v)` rows over every column of every table,
+    * with `v` the value cast to string. Each table is scanned once: a row
+    * is exploded into one `(c, v)` pair per column.
+    */
+  private[extract] def melt(tables: Seq[(String, DataFrame)]): DataFrame =
+    tables.map { case (name, df) =>
+      val pairs = df.columns.toSeq.map(c => struct(lit(c).as("c"), col(c).cast("string").as("v")))
+      df.select(lit(name).as("t"), explode(array(pairs: _*)).as("cv"))
+        .select(col("t"), col("cv.c").as("c"), col("cv.v").as("v"))
+    }.reduce(_ unionByName _).where(col("v").isNotNull).distinct()
 
   /** Sketch a single column of `df`. */
-  def sketch(df: DataFrame, table: String, column: String, k: Int = DefaultK): ColumnSketch = {
-    val values = df.select(col(column).cast("string").as("v")).na.drop().distinct()
-    val aggs   = count(lit(1)).as("n") +: (0 until k).map(i => slot(i, col("v")))
-    val row    = values.agg(aggs.head, aggs.tail: _*).collect()(0)
-    val n      = row.getLong(0)
-    val sig    =
-      if (n == 0) Array.fill(k)(Int.MaxValue)
-      else Array.tabulate(k)(i => row.getInt(i + 1))
-    ColumnSketch(table, column, n, sig)
-  }
+  def sketch(df: DataFrame, table: String, column: String, k: Int = DefaultK): ColumnSketch =
+    sketchAll(Seq(table -> df.select(column)), k).head
 
-  /** Sketch every column of every named dataset. */
-  def sketchAll(tables: Seq[(String, DataFrame)], k: Int = DefaultK): Seq[ColumnSketch] =
-    for {
-      (name, df) <- tables
-      column     <- df.columns.toSeq
-    } yield sketch(df, name, column, k)
-
-  /** Exact containment |a ∩ b| / |a| over distinct values — the ground
-    * truth the sketch estimates (used by the T4 quality bench and tests).
+  /** Sketch every column of every named dataset, in table then column
+    * order. A column with no non-null value gets `distinct = 0` and an
+    * all-`Int.MaxValue` signature.
     */
-  def exactContainment(dfA: DataFrame, colA: String, dfB: DataFrame, colB: String): Double = {
-    val a = dfA.select(col(colA).cast("string").as("v")).na.drop().distinct()
-    val b = dfB.select(col(colB).cast("string").as("v")).na.drop().distinct()
-    val na = a.count()
-    if (na == 0) 0.0
-    else a.intersect(b).count().toDouble / na
+  def sketchAll(tables: Seq[(String, DataFrame)], k: Int = DefaultK): Seq[ColumnSketch] = {
+    val columns = for ((name, df) <- tables; c <- df.columns.toSeq) yield (name, c)
+    val aggs = count(lit(1)).as("n") +: (0 until k).map(i => min(hash(lit(i), col("v"))).as(s"h$i"))
+    val rows =
+      if (columns.isEmpty) Map.empty[(String, String), Row]
+      else melt(tables).groupBy("t", "c").agg(aggs.head, aggs.tail: _*).collect()
+        .map(r => (r.getString(0), r.getString(1)) -> r).toMap
+    columns.map { case (name, c) =>
+      rows.get((name, c)) match {
+        case Some(r) => ColumnSketch(name, c, r.getLong(2), Array.tabulate(k)(i => r.getInt(i + 3)))
+        case None    => ColumnSketch(name, c, 0L, Array.fill(k)(Int.MaxValue))
+      }
+    }
   }
 }

@@ -52,21 +52,17 @@ object Joinability {
     edges.toDF("src_table", "src_column", "dst_table", "dst_column", "score")
   }
 
-  /** Exact containment for *every* ordered column pair across tables, in
-    * two shuffles instead of O(columns²) jobs: melt all columns to
-    * `(table, column, value)` distinct triples, self-join on value, count
+  /** Exact containment |a ∩ b| / |a| over distinct values for *every*
+    * ordered column pair across tables — the ground truth the sketches
+    * estimate, and the one exact oracle of the T4 bench. The job count does
+    * not grow with the number of columns: self-join the lake's melted
+    * `(table, column, value)` rows ([[ColumnSketches]]) on value, count
     * intersections per column pair, divide by the source column's distinct
-    * count. Used as ground truth by the T4 quality bench at scales where
-    * the per-pair [[ColumnSketches.exactContainment]] would be too slow.
+    * count. Pairs with no common value get no edge.
     */
   def exactContainmentsAll(spark: SparkSession,
                            tables: Seq[(String, DataFrame)]): Seq[JoinEdge] = {
-    val melted = tables.map { case (name, df) =>
-      df.columns.toSeq.map { c =>
-        df.select(lit(name).as("t"), lit(c).as("c"),
-          col(c).cast("string").as("v")).na.drop()
-      }.reduce(_ unionByName _)
-    }.reduce(_ unionByName _).distinct().cache()
+    val melted = ColumnSketches.melt(tables).cache()
 
     try {
       val sizes = melted.groupBy("t", "c").agg(count(lit(1)).as("n"))
@@ -98,22 +94,4 @@ object Joinability {
       .values.map(_.maxBy(e => (e.score, e.srcColumn, e.dstColumn)))
       .filter(_.score >= threshold)
       .toSeq.sortBy(e => (e.srcTable, e.dstTable))
-
-  /** Exact joinability edges via set intersection — the oracle the sketch
-    * version is benchmarked against in T4.
-    */
-  def exactEdges(tables: Seq[(String, DataFrame)], threshold: Double): Seq[JoinEdge] = {
-    val pairs = for {
-      (ta, dfA) <- tables
-      (tb, dfB) <- tables
-      if ta != tb
-      ca <- dfA.columns.toSeq
-      cb <- dfB.columns.toSeq
-    } yield JoinEdge(ta, ca, tb, cb, ColumnSketches.exactContainment(dfA, ca, dfB, cb))
-    pairs
-      .groupBy(e => (e.srcTable, e.dstTable))
-      .values.map(_.maxBy(e => (e.score, e.srcColumn, e.dstColumn))) // deterministic best pair
-      .filter(_.score >= threshold)
-      .toSeq.sortBy(e => (e.srcTable, e.dstTable))
-  }
 }

@@ -2,6 +2,7 @@ package repro.providers
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import repro.catalog.CatalogSchema
 import repro.spec.Representation
 import repro.spec.Representation._
 
@@ -12,13 +13,11 @@ import repro.spec.Representation._
   */
 object StandardProviders {
 
-  /** Columns every artifact-shaped provider result carries. */
-  private val artifactCols: Seq[String] = Seq(
-    "artifact_id", "name", "artifact_type", "owner_id", "team_id",
-    "created_at", "views", "favorites", "description", "endorsements", "age_days")
-
+  /** The enriched artifact columns every artifact-shaped provider result
+    * carries.
+    */
   private def base(ctx: ProviderContext): DataFrame =
-    ctx.enrichedArtifacts.select(artifactCols.map(col): _*)
+    ctx.enrichedArtifacts.select(CatalogSchema.enriched.all.map(col): _*)
 
   /** Join a user-name input down to artifact rows via an id column. */
   private def byUserName(ctx: ProviderContext, userName: String, fk: Column,

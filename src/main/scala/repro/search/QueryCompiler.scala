@@ -2,6 +2,7 @@ package repro.search
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.catalog.CatalogSchema
 import repro.providers.{Contracts, ProviderBinding, ProviderContext, Registry}
 import repro.ranking.Ranking
 import repro.spec.{HumboldtSpec, MetadataProviderSpec, Surface}
@@ -31,12 +32,7 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
   /** Execute a parsed query (id + score, unordered). */
   def compile(q: Query, scope: Option[DataFrame] = None): DataFrame = {
     val ids = eval(q, scope)
-    scope match {
-      case None => ids
-      case Some(s) =>
-        val scopeIds = s.select(col("artifact_id").cast("long")).distinct()
-        ids.join(scopeIds, "artifact_id")
-    }
+    scopeIds(scope).fold(ids)(ids.join(_, "artifact_id"))
   }
 
   /** compile + join back artifact metadata + order (what the UI lists). */
@@ -51,6 +47,10 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
 
   private def allIds: DataFrame =
     ctx.catalog.artifacts.select(col("artifact_id").cast("long"))
+
+  /** The distinct artifact ids of a filter scope, if any. */
+  private def scopeIds(scope: Option[DataFrame]): Option[DataFrame] =
+    scope.map(_.select(col("artifact_id").cast("long")).distinct())
 
   private def eval(q: Query, scope: Option[DataFrame]): DataFrame = q match {
     case Query.Text(words) => evalText(words)
@@ -79,9 +79,7 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
       Ranking.combine(Seq(eval(l, scope), eval(r, scope)))
 
     case Query.Not(inner) =>
-      val universe = scope
-        .map(_.select(col("artifact_id").cast("long")).distinct())
-        .getOrElse(allIds)
+      val universe = scopeIds(scope).getOrElse(allIds)
       universe.join(eval(inner, scope), Seq("artifact_id"), "left_anti")
         .withColumn(Ranking.ScoreColumn, lit(0.0))
   }
@@ -142,8 +140,7 @@ final class QueryCompiler(spec: HumboldtSpec, registry: Registry, ctx: ProviderC
   /** Fields known to live on the enriched artifact relation — a weight on
     * one of these must be computed there if the provider did not project it.
     */
-  private val enrichedFields: Set[String] =
-    Set("views", "favorites", "endorsements", "age_days")
+  private val enrichedFields: Set[String] = CatalogSchema.enriched.all.toSet
 
   private def bindFirstInput(p: MetadataProviderSpec, value: String): Map[String, String] =
     p.inputs.headOption match {

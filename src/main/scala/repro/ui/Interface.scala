@@ -70,8 +70,10 @@ object Interface {
       .collect()
     if (a.isEmpty) return Map.empty
     val row = a(0)
+    // The smallest badge name, so an artifact with several badges always
+    // binds the same one.
     val badge = ctx.catalog.badges.where(col("artifact_id") === artifactId)
-      .select("badge").limit(1).collect().headOption.map(_.getString(0))
+      .select("badge").orderBy("badge").limit(1).collect().headOption.map(_.getString(0))
 
     val base = Map(
       "artifact" -> artifactId.toString,

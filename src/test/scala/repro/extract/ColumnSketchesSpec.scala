@@ -1,12 +1,28 @@
 package repro.extract
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.catalog.LakeSynth
 
 class ColumnSketchesSpec extends SparkSpec {
   import spark.implicits._
 
   private def df(name: String, values: Seq[Long]) = values.toDF(name)
+
+  /** Reference: the per-column formula — one aggregation over a single
+    * column's distinct non-null string values, slot i `min(hash(i, v))`.
+    */
+  private def referenceSketch(df: DataFrame, table: String, column: String, k: Int): ColumnSketch = {
+    val values = df.select(col(column).cast("string").as("v")).na.drop().distinct()
+    val aggs = count(lit(1)).as("n") +: (0 until k).map(i => min(hash(lit(i), col("v"))).as(s"h$i"))
+    val row = values.agg(aggs.head, aggs.tail: _*).collect()(0)
+    val n = row.getLong(0)
+    val sig =
+      if (n == 0) Array.fill(k)(Int.MaxValue)
+      else Array.tabulate(k)(i => row.getInt(i + 1))
+    ColumnSketch(table, column, n, sig)
+  }
 
   test("sketch records exact distinct count") {
     val s = ColumnSketches.sketch(df("v", Seq(1, 2, 3, 2, 1)), "t", "v", k = 16)
@@ -90,16 +106,33 @@ class ColumnSketchesSpec extends SparkSpec {
     assert(a.jaccard(b) == 1.0)
   }
 
-  test("exactContainment computes the true fraction") {
-    val a = df("v", 1L to 10L)
-    val b = df("v", 6L to 20L)
-    assert(ColumnSketches.exactContainment(a, "v", b, "v") == 0.5)
-    assert(ColumnSketches.exactContainment(b, "v", a, "v") == 5.0 / 15.0)
+  test("one-pass sketchAll equals the per-column formula") {
+    val withNulls = Seq((1L, Option.empty[String]), (2L, None)).toDF("id", "never")
+    val empty = Seq.empty[(Long, String)].toDF("id", "label")
+    val tables = LakeSynth.tables(spark) ++ Seq("WITH_NULLS" -> withNulls, "EMPTY" -> empty)
+    for (k <- Seq(16, 64)) {
+      val got = ColumnSketches.sketchAll(tables, k)
+      val want = for ((t, d) <- tables; c <- d.columns.toSeq) yield referenceSketch(d, t, c, k)
+      assert(got.map(s => (s.table, s.column)) == want.map(s => (s.table, s.column)))
+      got.zip(want).foreach { case (g, w) =>
+        assert(g.distinct == w.distinct, s"k=$k ${g.table}.${g.column} distinct")
+        assert(g.sig.sameElements(w.sig), s"k=$k ${g.table}.${g.column} signature")
+      }
+    }
   }
 
-  test("exactContainment of empty source is 0") {
+  test("exactContainmentsAll computes the true fraction") {
+    val got = Joinability.exactContainmentsAll(spark,
+      Seq("a" -> df("v", 1L to 10L), "b" -> df("v", 6L to 20L)))
+      .map(e => (e.srcTable, e.dstTable) -> e.score).toMap
+    assert(got(("a", "b")) == 0.5)
+    assert(got(("b", "a")) == 5.0 / 15.0)
+  }
+
+  test("exactContainmentsAll gives an empty source no edge") {
     val a = Seq.empty[Long].toDF("v")
     val b = df("v", 1L to 5L)
-    assert(ColumnSketches.exactContainment(a, "v", b, "v") == 0.0)
+    val got = Joinability.exactContainmentsAll(spark, Seq("a" -> a, "b" -> b))
+    assert(!got.exists(_.srcTable == "a"))
   }
 }

@@ -2,7 +2,8 @@ package repro.ui
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
-import repro.providers.Registry
+import repro.catalog.{CatalogSchema, CatalogTables}
+import repro.providers.{ProviderContext, Registry}
 import repro.spec._
 
 class InterfaceSpec extends SparkSpec {
@@ -54,6 +55,22 @@ class InterfaceSpec extends SparkSpec {
     assert(c("team") == "A Team")
     assert(c("badge") == "endorsed")
     assert(c("table") == "AIRLINES")
+  }
+
+  test("exploration context binds the smallest of several badge names") {
+    val s = spark
+    import s.implicits._
+    val day = java.sql.Date.valueOf("2023-01-01")
+    val base = ctx.catalog
+    val cat = CatalogTables(
+      artifacts = Seq((1L, "T", "table", 1L, 1L, day, 1L, 0L, ""))
+        .toDF(CatalogSchema.artifacts.all: _*),
+      users = base.users, teams = base.teams,
+      badges = Seq((1L, "warning", 1L, day), (1L, "endorsed", 1L, day))
+        .toDF(CatalogSchema.badges.all: _*),
+      lineage = base.lineage.limit(0), usage = base.usage.limit(0))
+    val c = Interface.explorationContext(ProviderContext(spark, cat), 1L)
+    assert(c("badge") == "endorsed")
   }
 
   test("exploration context of unknown artifact is empty") {
